@@ -260,7 +260,7 @@ def _lint_routes(config: DyserConfig, report: DiagnosticReport) -> None:
                 location=where, source=_SOURCE, signal=skey, sink=sink,
                 end=path[-1], expected=expected_end)
         for a, b in zip(path, path[1:], strict=False):
-            if b not in geometry.switch_neighbors(a):
+            if not geometry.is_link(a, b):
                 report.emit(
                     "RPR210",
                     f"route {where}: hop {a}->{b} is not an adjacent "

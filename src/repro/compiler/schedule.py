@@ -6,11 +6,19 @@ Two phases, mirroring the prototype toolchain:
    (each node goes to the legal FU minimizing wirelength to its already-
    placed producers and its ports), followed by a deterministic
    improvement loop of relocations/swaps.
-2. **Routing** — per-signal BFS trees over the directed switch graph
-   under the circuit-switched exclusivity constraint (a switch output
-   link carries exactly one signal, with free fan-out of the same
-   signal).  Failed routes trigger rip-up-and-retry with a different
-   signal order.
+2. **Routing** — PathFinder-style negotiated congestion: each signal
+   grows one fan-out tree over the directed switch graph by Dijkstra,
+   where a link costs 1 + its congestion history + a penalty per other
+   signal already on it.  Rounds repeat, raising history on shared
+   links and the sharing penalty, until every link has one owner (the
+   circuit-switched exclusivity constraint: a switch output link carries
+   exactly one signal, with free fan-out of the same signal).  If
+   congestion does not resolve, :func:`schedule` re-places with a new
+   seed and routes again.
+
+The hot loops run on the integer switch and link ids of
+:func:`repro.dyser.fabric.routing_tables`; routes leave as coordinate
+lists.
 
 Raises :class:`SchedulingError` when the DFG cannot be mapped, which the
 region selector turns into a scalar fallback (exactly what the paper's
@@ -20,10 +28,11 @@ compiler does for oversized regions).
 from __future__ import annotations
 
 import random
+from heapq import heappop, heappush
 
 from repro.dyser.config import DyserConfig, SinkKey, SourceKey, source_key
 from repro.dyser.dfg import Dfg, NodeRef, PortRef
-from repro.dyser.fabric import Coord, Fabric
+from repro.dyser.fabric import Coord, Fabric, routing_tables
 from repro.dyser.ops import capability_of
 from repro.errors import SchedulingError
 
@@ -35,6 +44,8 @@ _ROUTE_ROUNDS = 48
 
 #: Placement attempts (fresh seed each) before giving up on routing.
 _PLACE_ATTEMPTS = 8
+
+_INF = float("inf")
 
 
 def schedule(config_id: int, dfg: Dfg, fabric: Fabric,
@@ -73,7 +84,7 @@ def schedule(config_id: int, dfg: Dfg, fabric: Fabric,
         try:
             # Alternate the congestion-history pressure across attempts:
             # different DFG shapes converge under different schedules.
-            routes = _route(dfg, fabric, placement, rng,
+            routes = _route(dfg, fabric, placement,
                             history_increment=1.5 + 0.75 * (attempt % 3))
         except SchedulingError as exc:
             last_error = exc
@@ -94,48 +105,57 @@ def _place(dfg: Dfg, fabric: Fabric, rng: random.Random,
     geometry = fabric.geometry
     in_switches = geometry.input_port_switches()
     out_switches = geometry.output_port_switches()
-    out_port_of: dict[int, list[int]] = {}
+    fu_inputs = {fu: geometry.fu_input_switches(fu) for fu in geometry.fus()}
+    fu_output = {fu: geometry.fu_output_switch(fu) for fu in geometry.fus()}
+
+    # Per-node wiring, built once: one entry per input slot / output port,
+    # and each consumer once however many of its slots read the node.
+    producers: dict[int, list[int]] = {nid: [] for nid in dfg.nodes}
+    port_starts: dict[int, list[Coord]] = {nid: [] for nid in dfg.nodes}
+    out_targets: dict[int, list[Coord]] = {nid: [] for nid in dfg.nodes}
+    consumers: dict[int, list[int]] = {nid: [] for nid in dfg.nodes}
+    for node in dfg.nodes.values():
+        for src in node.inputs:
+            if isinstance(src, NodeRef):
+                producers[node.id].append(src.node)
+                if src.node != node.id and \
+                        node.id not in consumers[src.node]:
+                    consumers[src.node].append(node.id)
+            elif isinstance(src, PortRef):
+                port_starts[node.id].append(in_switches[src.port])
     for port, src in dfg.outputs.items():
         if isinstance(src, NodeRef):
-            out_port_of.setdefault(src.node, []).append(port)
+            out_targets[src.node].append(out_switches[port])
 
     placement: dict[int, Coord] = {}
-    occupied: set[Coord] = set()
 
     def node_cost(nid: int, fu: Coord) -> int:
-        node = dfg.nodes[nid]
+        targets = fu_inputs[fu]
         cost = 0
-        targets = geometry.fu_input_switches(fu)
-        for src in node.inputs:
-            if isinstance(src, NodeRef) and src.node in placement:
-                start = geometry.fu_output_switch(placement[src.node])
-            elif isinstance(src, PortRef):
-                start = in_switches[src.port]
-            else:
-                continue
-            cost += min(_dist(start, t) for t in targets)
-        source = geometry.fu_output_switch(fu)
-        for port in out_port_of.get(nid, ()):
-            cost += _dist(source, out_switches[port])
+        for producer in producers[nid]:
+            if producer in placement:
+                cost += _reach(fu_output[placement[producer]], targets)
+        for start in port_starts[nid]:
+            cost += _reach(start, targets)
+        source = fu_output[fu]
+        for target in out_targets[nid]:
+            cost += _dist(source, target)
         # Consumers placed already (refinement path).
-        for other in dfg.nodes.values():
-            if other.id == nid or other.id not in placement:
-                continue
-            if any(isinstance(s, NodeRef) and s.node == nid
-                   for s in other.inputs):
-                cost += min(
-                    _dist(source, t)
-                    for t in geometry.fu_input_switches(placement[other.id])
-                )
+        for consumer in consumers[nid]:
+            if consumer in placement:
+                cost += _reach(source, fu_inputs[placement[consumer]])
         return cost
 
     # Placement cost carries a scarcity penalty (3 per extra capability)
     # so cheap ops avoid parking on rare FP/divide-capable FUs.
+    scarcity = {fu: 3 * (len(caps) - 1)
+                for fu, caps in fabric.capabilities.items()}
+    fus_with = {cap: fabric.fus_with(cap)
+                for cap in {capability_of(n.op) for n in dfg.nodes.values()}}
+    occupied: set[Coord] = set()
     for node in dfg.topo_order():
-        candidates = [
-            fu for fu in fabric.fus_with(capability_of(node.op))
-            if fu not in occupied
-        ]
+        candidates = [fu for fu in fus_with[capability_of(node.op)]
+                      if fu not in occupied]
         if not candidates:
             raise SchedulingError(
                 f"{dfg.name}: no free FU supports {node.op.value}",
@@ -145,8 +165,7 @@ def _place(dfg: Dfg, fabric: Fabric, rng: random.Random,
         best = min(
             candidates,
             key=lambda fu: (
-                node_cost(node.id, fu)
-                + 3 * (len(fabric.capabilities[fu]) - 1)
+                node_cost(node.id, fu) + scarcity[fu]
                 # Retry attempts explore different placements: a little
                 # cost noise is what un-sticks congestion hotspots.
                 + (rng.randint(0, jitter) if jitter else 0),
@@ -157,26 +176,26 @@ def _place(dfg: Dfg, fabric: Fabric, rng: random.Random,
         occupied.add(best)
 
     if refine and len(dfg.nodes) > 1:
-        _refine(dfg, fabric, placement, occupied, rng, node_cost)
+        _refine(dfg, fabric, placement, rng, node_cost)
     return placement
 
 
-def _refine(dfg, fabric, placement, occupied, rng, node_cost) -> None:
-    geometry = fabric.geometry
+def _refine(dfg, fabric, placement, rng, node_cost) -> None:
     node_ids = list(placement)
-    all_fus = geometry.fus()
+    all_fus = fabric.geometry.fus()
+    cap_of = {nid: capability_of(dfg.nodes[nid].op) for nid in node_ids}
+    occupant = {fu: nid for nid, fu in placement.items()}
     for _ in range(_REFINE_ITERS):
         nid = rng.choice(node_ids)
-        cap = capability_of(dfg.nodes[nid].op)
         target = rng.choice(all_fus)
-        if target == placement[nid] or not fabric.supports(target, cap):
+        if target == placement[nid] or \
+                not fabric.supports(target, cap_of[nid]):
             continue
         old = placement[nid]
         before = node_cost(nid, old)
-        other = next((n for n, fu in placement.items() if fu == target),
-                     None)
+        other = occupant.get(target)
         if other is not None:
-            if not fabric.supports(old, capability_of(dfg.nodes[other].op)):
+            if not fabric.supports(old, cap_of[other]):
                 continue
             before += node_cost(other, target)
             # Tentatively swap.
@@ -184,50 +203,57 @@ def _refine(dfg, fabric, placement, occupied, rng, node_cost) -> None:
             after = node_cost(nid, target) + node_cost(other, old)
             if after > before:
                 placement[nid], placement[other] = old, target
+            else:
+                occupant[target], occupant[old] = nid, other
         else:
             placement[nid] = target
             after = node_cost(nid, target)
             if after > before:
                 placement[nid] = old
             else:
-                occupied.discard(old)
-                occupied.add(target)
+                del occupant[old]
+                occupant[target] = nid
 
 
 def _dist(a: Coord, b: Coord) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
+def _reach(start: Coord, targets: list[Coord]) -> int:
+    """Hops from ``start`` to the nearest of ``targets``."""
+    return min(_dist(start, t) for t in targets)
+
+
 # -- routing ------------------------------------------------------------------
 
 
 def _route(dfg: Dfg, fabric: Fabric, placement: dict[int, Coord],
-           rng: random.Random, history_increment: float = 1.5
+           history_increment: float = 1.5
            ) -> dict[tuple[SourceKey, SinkKey], list[Coord]]:
-    geometry = fabric.geometry
-    in_switches = geometry.input_port_switches()
-    out_switches = geometry.output_port_switches()
+    tables = routing_tables(fabric.geometry)
 
-    # Collect (source key, sink key, target switches) triples.
-    jobs: list[tuple[SourceKey, SinkKey, list[Coord], Coord]] = []
+    def entry(skey: SourceKey) -> int:
+        if skey[0] == "port":
+            return tables.in_ports[skey[1]]
+        return tables.fu_output[placement[skey[1]]]
+
+    # Collect (source key, sink key, target switches, entry switch) jobs.
+    jobs: list[tuple[SourceKey, SinkKey, frozenset[int], int]] = []
     for node in dfg.nodes.values():
-        targets = geometry.fu_input_switches(placement[node.id])
+        targets = frozenset(tables.fu_inputs[placement[node.id]])
         for slot, src in enumerate(node.inputs):
             skey = source_key(src)
             if skey is None:
                 continue
-            start = (in_switches[skey[1]] if skey[0] == "port"
-                     else geometry.fu_output_switch(placement[skey[1]]))
-            jobs.append((skey, ("node", node.id, slot), targets, start))
+            jobs.append((skey, ("node", node.id, slot), targets, entry(skey)))
     for port, src in dfg.outputs.items():
         skey = source_key(src)
         if skey is None:
             raise SchedulingError(
                 f"{dfg.name}: output port {port} driven by a constant",
                 code="RPR214", dfg=dfg.name, port=port)
-        start = (in_switches[skey[1]] if skey[0] == "port"
-                 else geometry.fu_output_switch(placement[skey[1]]))
-        jobs.append((skey, ("out", port, 0), [out_switches[port]], start))
+        jobs.append((skey, ("out", port, 0),
+                     frozenset((tables.out_ports[port],)), entry(skey)))
 
     # Route each signal's whole fan-out tree contiguously (compact trees)
     # and route edge-port signals before internal node signals: ports
@@ -237,30 +263,34 @@ def _route(dfg: Dfg, fabric: Fabric, placement: dict[int, Coord],
     # PathFinder-style negotiated congestion routing: sharing a link is
     # allowed during search but priced; shared links accumulate history
     # cost between iterations until every link has one owner.
-    history: dict[tuple[Coord, Coord], float] = {}
+    history = [0.0] * tables.num_links
     present_penalty = 2.0
     for _iteration in range(_ROUTE_ROUNDS):
-        usage: dict[tuple[Coord, Coord], set[SourceKey]] = {}
-        signal_parent: dict[SourceKey, dict[Coord, Coord | None]] = {}
-        routes: dict[tuple[SourceKey, SinkKey], list[Coord]] = {}
+        # Per round: how many signals use each link, and which links each
+        # signal's tree owns.
+        users = [0] * tables.num_links
+        owned: dict[SourceKey, set[int]] = {}
+        # The unshared part of each link's cost, ``1.0 + history``.
+        base = [1.0 + h for h in history]
+        signal_parent: dict[SourceKey, dict[int, int | None]] = {}
+        paths: dict[tuple[SourceKey, SinkKey], list[int]] = {}
         for skey, sink, targets, start in jobs:
             tree = signal_parent.setdefault(skey, {start: None})
             target = _grow_tree_negotiated(
-                geometry, tree, set(targets), usage, history,
-                present_penalty, skey)
+                tables.neighbours, tree, targets, users,
+                owned.setdefault(skey, set()), base, present_penalty)
             if target is None:
                 raise SchedulingError(
                     f"{dfg.name}: signal {skey} -> {sink} has no path",
                     code="RPR210", dfg=dfg.name, signal=skey, sink=sink)
-            path = _backtrack(tree, target)
-            routes[(skey, sink)] = path
-            for a, b in zip(path, path[1:], strict=False):
-                usage.setdefault((a, b), set()).add(skey)
-        shared = [link for link, users in usage.items() if len(users) > 1]
+            paths[(skey, sink)] = _backtrack(tree, target)
+        shared = [link for link, count in enumerate(users) if count > 1]
         if not shared:
-            return routes
+            coords = tables.coords
+            return {key: [coords[sw] for sw in path]
+                    for key, path in paths.items()}
         for link in shared:
-            history[link] = history.get(link, 0.0) + history_increment
+            history[link] += history_increment
         # Uncapped: late iterations effectively forbid sharing, which is
         # what finally shakes the last contested link loose.
         present_penalty *= 1.6
@@ -271,57 +301,63 @@ def _route(dfg: Dfg, fabric: Fabric, placement: dict[int, Coord],
         shared=len(shared))
 
 
-def _grow_tree_negotiated(geometry, tree: dict[Coord, Coord | None],
-                          targets: set[Coord],
-                          usage: dict[tuple[Coord, Coord], set[SourceKey]],
-                          history: dict[tuple[Coord, Coord], float],
-                          present_penalty: float,
-                          skey: SourceKey) -> Coord | None:
+def _grow_tree_negotiated(neighbours, tree: dict[int, int | None],
+                          targets: frozenset[int], users: list[int],
+                          own: set[int], base: list[float],
+                          present_penalty: float) -> int | None:
     """Dijkstra from the signal's current tree to any target.
 
-    Link cost = 1 + history + present-sharing penalty; links already in
-    this signal's tree fan out for free.  Commits the found branch into
-    the tree and returns the target switch.
+    Link cost = 1 + history + present-sharing penalty, where sharing
+    counts the *other* signals on the link; links already in this
+    signal's tree (``own``) fan out for free.  Commits the found branch
+    into the tree, ``own`` and ``users``, and returns the target switch.
     """
-    import heapq
-
-    already = sorted(set(tree) & targets)
+    already = sorted(targets.intersection(tree))
     if already:
         return already[0]
-    dist: dict[Coord, float] = {sw: 0.0 for sw in tree}
-    parent: dict[Coord, Coord] = {}
+    count = len(neighbours)
+    dist = [_INF] * count
+    for sw in tree:
+        dist[sw] = 0.0
+    parent = [0] * count
+    via = [0] * count
+    # A sorted list already satisfies the heap invariant.
     heap = [(0.0, sw) for sw in sorted(tree)]
-    heapq.heapify(heap)
-    visited: set[Coord] = set()
+    visited = bytearray(count)
+    pop, push = heappop, heappush
     while heap:
-        d, current = heapq.heappop(heap)
-        if current in visited:
+        d, current = pop(heap)
+        if visited[current]:
             continue
-        visited.add(current)
+        visited[current] = 1
         if current in targets:
             node = current
             while node not in tree:
                 tree[node] = parent[node]
+                link = via[node]
+                own.add(link)
+                users[link] += 1
                 node = parent[node]
             return current
-        for nxt in geometry.switch_neighbors(current):
-            if nxt in visited:
+        for nxt, link in neighbours[current]:
+            if visited[nxt]:
                 continue
-            link = (current, nxt)
-            users = usage.get(link, ())
-            sharing = sum(1 for u in users if u != skey)
-            cost = 1.0 + history.get(link, 0.0) \
-                + sharing * present_penalty
-            nd = d + cost
-            if nd < dist.get(nxt, float("inf")):
+            sharing = users[link]
+            if sharing:
+                sharing -= link in own
+                nd = d + (base[link] + sharing * present_penalty)
+            else:
+                # ``+ 0 * present_penalty`` adds exactly 0.0.
+                nd = d + base[link]
+            if nd < dist[nxt]:
                 dist[nxt] = nd
                 parent[nxt] = current
-                heapq.heappush(heap, (nd, nxt))
+                via[nxt] = link
+                push(heap, (nd, nxt))
     return None
 
 
-def _backtrack(tree: dict[Coord, Coord | None], target: Coord
-               ) -> list[Coord]:
+def _backtrack(tree: dict[int, int | None], target: int) -> list[int]:
     path = [target]
     node = tree[target]
     while node is not None:

@@ -130,7 +130,7 @@ class DyserConfig:
                     end=path[-1], expected=expected_end,
                 )
             for a, b in zip(path, path[1:], strict=False):
-                if b not in geometry.switch_neighbors(a):
+                if not geometry.is_link(a, b):
                     raise ConfigurationError(
                         f"route {skey}->{sink}: {a}->{b} not adjacent",
                         code="RPR210", signal=skey, sink=sink, hop=[a, b],

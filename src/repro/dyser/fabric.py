@@ -17,6 +17,7 @@ half the grid, and one FU per quadrant provides divide/sqrt — a capability
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.errors import ConfigurationError
 from repro.dyser.ops import FuCapability
@@ -114,6 +115,85 @@ class FabricGeometry:
     @property
     def num_output_ports(self) -> int:
         return len(self.output_port_switches())
+
+    def is_link(self, a: Coord, b: Coord) -> bool:
+        """Whether ``a -> b`` is one switch hop (``b in switch_neighbors(a)``).
+
+        Answered from the cached :func:`routing_tables`.  A source off the
+        fabric (only a corrupt route has one) keeps the geometric answer:
+        it is adjacent to the on-fabric switch one step away.
+        """
+        tables = routing_tables(self)
+        if a in tables.switch_ids:
+            return (a, b) in tables.link_ids
+        return b in self.switch_neighbors(a)
+
+
+@dataclass(frozen=True)
+class RoutingTables:
+    """Integer-id view of one geometry's switch graph for the router.
+
+    Switch ``(x, y)`` has id ``x * switch_rows + y``, so id order equals
+    coordinate-tuple order.  Each directed link has its own id; ``A -> B``
+    and ``B -> A`` differ.
+    """
+
+    #: switch id -> coordinate.
+    coords: tuple[Coord, ...]
+    #: coordinate -> switch id.
+    switch_ids: dict[Coord, int]
+    #: switch id -> ((neighbour id, link id), ...) in E, S, W, N order.
+    neighbours: tuple[tuple[tuple[int, int], ...], ...]
+    #: (from, to) coordinates -> link id.
+    link_ids: dict[tuple[Coord, Coord], int]
+    #: FU -> ids of its three input switches (``fu_input_switches`` order).
+    fu_inputs: dict[Coord, tuple[int, ...]]
+    #: FU -> id of its output switch.
+    fu_output: dict[Coord, int]
+    #: input / output port number -> switch id.
+    in_ports: tuple[int, ...]
+    out_ports: tuple[int, ...]
+
+    @property
+    def num_links(self) -> int:
+        return len(self.link_ids)
+
+
+@lru_cache(maxsize=16)
+def routing_tables(geometry: FabricGeometry) -> RoutingTables:
+    """The :class:`RoutingTables` of ``geometry``, built on first use.
+
+    Every caller shares the cached instance: treat it as read-only.
+    Bounded, because specs choose the geometry.
+    """
+    rows = geometry.switch_rows
+    coords = tuple((x, y) for x in range(geometry.switch_cols)
+                   for y in range(rows))
+    switch_ids = {sw: i for i, sw in enumerate(coords)}
+    link_ids: dict[tuple[Coord, Coord], int] = {}
+    neighbours = []
+    for sw in coords:
+        row = []
+        for nxt in geometry.switch_neighbors(sw):
+            row.append((switch_ids[nxt], len(link_ids)))
+            link_ids[(sw, nxt)] = len(link_ids)
+        neighbours.append(tuple(row))
+    fus = geometry.fus()
+    return RoutingTables(
+        coords=coords,
+        switch_ids=switch_ids,
+        neighbours=tuple(neighbours),
+        link_ids=link_ids,
+        fu_inputs={fu: tuple(switch_ids[sw]
+                             for sw in geometry.fu_input_switches(fu))
+                   for fu in fus},
+        fu_output={fu: switch_ids[geometry.fu_output_switch(fu)]
+                   for fu in fus},
+        in_ports=tuple(switch_ids[sw]
+                       for sw in geometry.input_port_switches()),
+        out_ports=tuple(switch_ids[sw]
+                        for sw in geometry.output_port_switches()),
+    )
 
 
 def default_capabilities(geometry: FabricGeometry) -> dict[Coord, set[FuCapability]]:

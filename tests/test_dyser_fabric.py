@@ -16,6 +16,7 @@ from repro.dyser import (
     evaluate,
     uniform_capabilities,
 )
+from repro.dyser.fabric import routing_tables
 from repro.dyser.ops import FU_OP_INFO, capability_of, latency_of
 from repro.errors import ConfigurationError, DyserError
 
@@ -48,6 +49,47 @@ class TestGeometry:
     def test_switch_neighbors_corner(self):
         g = FabricGeometry(4, 4)
         assert set(g.switch_neighbors((0, 0))) == {(1, 0), (0, 1)}
+
+    @pytest.mark.parametrize("ports", [1, 2])
+    @pytest.mark.parametrize("size", [(1, 1), (2, 3), (3, 5), (4, 4), (8, 8)])
+    def test_routing_tables_mirror_the_geometry(self, size, ports):
+        g = FabricGeometry(*size, ports_per_edge_switch=ports)
+        t = routing_tables(g)
+        assert routing_tables(FabricGeometry(*size, ports)) is t
+        # Id order is coordinate-tuple order, and ids are x * rows + y.
+        assert list(t.coords) == sorted(g.switches())
+        assert all(t.switch_ids[(x, y)] == x * g.switch_rows + y
+                   for x, y in t.coords)
+        links = {}
+        for sw, row in enumerate(t.neighbours):
+            # Same neighbours as switch_neighbors, same E, S, W, N order.
+            assert [t.coords[n] for n, _ in row] \
+                == g.switch_neighbors(t.coords[sw])
+            for n, link in row:
+                links[link] = (t.coords[sw], t.coords[n])
+        # One id per directed link: A->B and B->A differ.
+        assert sorted(links) == list(range(t.num_links))
+        assert len(set(links.values())) == t.num_links
+        assert {pair: link for link, pair in links.items()} == t.link_ids
+        assert all(t.link_ids[(b, a)] != link
+                   for link, (a, b) in links.items())
+        for fu in g.fus():
+            assert [t.coords[s] for s in t.fu_inputs[fu]] \
+                == g.fu_input_switches(fu)
+            assert t.coords[t.fu_output[fu]] == g.fu_output_switch(fu)
+        assert [t.coords[s] for s in t.in_ports] == g.input_port_switches()
+        assert [t.coords[s] for s in t.out_ports] \
+            == g.output_port_switches()
+
+    def test_is_link_matches_switch_neighbors(self):
+        g = FabricGeometry(3, 2)
+        for x in range(-2, g.switch_cols + 2):
+            for y in range(-2, g.switch_rows + 2):
+                for dx, dy in [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1),
+                               (0, 0), (2, 0)]:
+                    b = (x + dx, y + dy)
+                    assert g.is_link((x, y), b) \
+                        == (b in g.switch_neighbors((x, y)))
 
     def test_tiny_fabric_rejected(self):
         with pytest.raises(ConfigurationError):
