@@ -14,7 +14,7 @@ Four analyses over four stable code banks:
   (``RPR4xx``): predicted cycles, a sound lower bound, and per-region
   bottleneck attribution with zero simulation, surfaced through
   :func:`perf_report` / ``repro lint --perf`` and reused as the
-  engine/service cost pre-flight (:func:`estimate_job_cost`);
+  service admission cost estimate (:func:`estimate_job_cost`);
 
 plus the ``RPR3xx`` control-flow shape advisories emitted by
 :func:`repro.compiler.shapes.region_advisories` and surfaced through

@@ -102,6 +102,7 @@ CODES: dict[str, CodeInfo] = {
             "RPR254": "unknown energy-model override field",
             "RPR255": "memory too small for the workload harness",
             "RPR256": "compiler knob out of range",
+            "RPR257": "spec exceeds a compile-cost ceiling",
         }),
         *_bank(Severity.WARNING, {
             "RPR252": "non-standard scale name",

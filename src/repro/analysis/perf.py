@@ -39,10 +39,10 @@ still fires at exact times.  Caches are modelled by real
 :class:`~repro.cpu.cache.Cache` instances fed the statically derived
 pc/address streams.
 
-``estimate_job_cost`` packages the prediction as the engine/service
-pre-flight cost estimate: :func:`repro.engine.pool.run_jobs` orders
-lanes longest-first with it and the service scheduler turns it into
-queue-wait estimates and a cost-aware ``Retry-After``.
+``estimate_job_cost`` packages the prediction as the service's
+admission cost estimate: the scheduler turns it into queue-wait
+estimates and a cost-aware ``Retry-After``.  The sweep engine does not
+price jobs; its pool workers compile their own jobs in parallel.
 """
 
 from __future__ import annotations
@@ -1201,7 +1201,7 @@ def perf_report(name: str, *, mode: str = "dyser", scale: str = "small",
 
 
 # ---------------------------------------------------------------------------
-# engine/service cost pre-flight
+# service admission cost estimate
 
 #: Cost memo keyed by job hash (process-local, like the compile memo).
 _COST_MEMO: dict[str, int | None] = {}
@@ -1211,14 +1211,12 @@ _COST_MEMO: dict[str, int | None] = {}
 _COST_STEP_LIMIT = 300_000
 
 
-def estimate_job_cost(spec, cache=None) -> int | None:
+def estimate_job_cost(spec) -> int | None:
     """Predicted cycle cost of one :class:`~repro.engine.jobs.JobSpec`.
 
     Returns None when no defensible estimate exists (analysis failure,
-    budget exhausted at every scale).  Memoized by job hash; safe to
-    call from the engine pre-flight and the service admission path.
-    ``cache`` is accepted for interface symmetry with the artifact
-    cache probes and currently unused.
+    budget exhausted at every scale).  Memoized by job hash; the
+    service admission path calls it on an executor thread.
     """
     try:
         key = spec.job_hash

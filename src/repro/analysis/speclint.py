@@ -40,6 +40,14 @@ _POSITIVE_COMPILER_KNOBS = (
 #: scale, so anything smaller faults during preparation, not execution.
 MIN_MEMORY_BYTES = 1 << 16
 
+#: Ceilings on the knobs that scale compile work: placement and routing
+#: grow with the fabric's switch count, region cloning with the unroll
+#: factor.  The largest shipped sweep uses an 8x8 fabric and unroll 8;
+#: twice that per side and four times that unroll leave room to explore
+#: while keeping a tenant's spec from ordering an unbounded compile.
+MAX_GEOMETRY = (16, 16)
+MAX_UNROLL = 32
+
 
 def lint_spec(spec, report: DiagnosticReport | None = None
               ) -> DiagnosticReport:
@@ -89,6 +97,19 @@ def lint_spec(spec, report: DiagnosticReport | None = None
                 "RPR256",
                 f"compiler knob {name}={value} must be >= 1",
                 location=name, source=_SOURCE, knob=name, value=value)
+    if any(v > cap for v, cap in zip(spec.geometry, MAX_GEOMETRY)):
+        report.emit(
+            "RPR257",
+            f"geometry {spec.geometry[0]}x{spec.geometry[1]} exceeds the "
+            f"{MAX_GEOMETRY[0]}x{MAX_GEOMETRY[1]} fabric ceiling",
+            location="geometry", source=_SOURCE, knob="geometry",
+            value=list(spec.geometry), ceiling=list(MAX_GEOMETRY))
+    if spec.unroll > MAX_UNROLL:
+        report.emit(
+            "RPR257",
+            f"unroll={spec.unroll} exceeds the ceiling of {MAX_UNROLL}",
+            location="unroll", source=_SOURCE, knob="unroll",
+            value=spec.unroll, ceiling=MAX_UNROLL)
     if spec.max_region_ops is not None \
             and spec.max_region_ops < spec.min_region_ops:
         report.emit(

@@ -117,16 +117,9 @@ class FabricGeometry:
         return len(self.output_port_switches())
 
     def is_link(self, a: Coord, b: Coord) -> bool:
-        """Whether ``a -> b`` is one switch hop (``b in switch_neighbors(a)``).
-
-        Answered from the cached :func:`routing_tables`.  A source off the
-        fabric (only a corrupt route has one) keeps the geometric answer:
-        it is adjacent to the on-fabric switch one step away.
-        """
-        tables = routing_tables(self)
-        if a in tables.switch_ids:
-            return (a, b) in tables.link_ids
-        return b in self.switch_neighbors(a)
+        """Whether ``a -> b`` is a directed link between two switches on
+        this fabric (answered from the cached :func:`routing_tables`)."""
+        return (a, b) in routing_tables(self).link_ids
 
 
 @dataclass(frozen=True)

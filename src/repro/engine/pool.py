@@ -98,19 +98,15 @@ def _batch_worker(specs, cache: ArtifactCache | None = None) -> list:
     return payloads
 
 
-def _plan_job_batches(specs, pending, costs=None):
+def _plan_job_batches(specs, pending):
     """Split pending indices into lockstep lanes and leftovers.
 
     Only ``backend="batched"`` specs batch, grouped by the harness's
     :func:`~repro.harness.batch.lane_key` over their expanded run
     configs — the same planner the direct API uses, so engine batching
     can never group what the harness would refuse.  Lanes need at
-    least two members; everything else stays on the solo path.
-
-    ``costs`` (index → predicted cycles, from the static perf
-    analyzer) orders lanes and leftovers longest-first for better pool
-    utilization; with no (or incomplete) cost data the historical
-    first-index order is preserved.
+    least two members; everything else stays on the solo path.  Both
+    come back in first-index order.
     """
     from repro.harness.batch import lane_key
 
@@ -127,13 +123,8 @@ def _plan_job_batches(specs, pending, costs=None):
             groups.append(members)
         else:
             rest.extend(members)
-    if costs and all(costs.get(i) is not None for i in pending):
-        # A lockstep lane's wall time tracks its slowest member.
-        groups.sort(key=lambda g: (-max(costs[i] for i in g), g[0]))
-        rest.sort(key=lambda i: (-costs[i], i))
-    else:
-        groups.sort(key=lambda g: g[0])
-        rest.sort()
+    groups.sort(key=lambda g: g[0])
+    rest.sort()
     return groups, rest
 
 
@@ -232,8 +223,10 @@ def run_jobs(
     (expanded via :meth:`SweepSpec.jobs`, in its documented order).
 
     ``jobs=1`` runs serially in-process (no pool, fully deterministic);
-    ``jobs>1`` fans out over worker processes.  ``timeout`` (seconds,
-    per job) and crash recovery apply to the pooled path; a job is
+    ``jobs>1`` fans out over worker processes in index order.  The
+    parent only lints and probes the cache; each worker compiles its
+    own job, so compiles run in parallel.  ``timeout`` (seconds, per
+    job) and crash recovery apply to the pooled path; a job is
     retried at most ``retries`` times before being recorded as FAILED.
 
     Cache-miss specs with ``backend="batched"`` are grouped by lane
@@ -311,28 +304,12 @@ def run_jobs(
                 continue
         pending.append(i)
 
-    # Cost pre-flight: with real parallelism ahead, predict each
-    # pending job's cycle cost statically (memoized per hash; the
-    # compile is shared with the run via the harness memo) and dispatch
-    # longest-first — the classic LPT heuristic.  Serial runs skip it:
-    # ordering cannot change their wall time.
-    costs: dict[int, int | None] = {}
-    if len(pending) > 1 and jobs > 1:
-        from repro.analysis.perf import estimate_job_cost
-
-        for i in pending:
-            records[i].cost = costs[i] = estimate_job_cost(specs[i])
-
     if pending and batching:
-        groups, pending = _plan_job_batches(specs, pending, costs)
+        groups, pending = _plan_job_batches(specs, pending)
         if groups:
             pending = sorted(pending + _run_batches(
                 specs, groups, records, results, cache, jobs, timeout,
                 events, progress))
-
-    if pending and costs and all(costs.get(i) is not None
-                                 for i in pending):
-        pending = sorted(pending, key=lambda i: (-costs[i], i))
 
     if pending:
         if jobs <= 1:

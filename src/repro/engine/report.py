@@ -38,10 +38,6 @@ class JobRecord:
     #: Diagnostic`); populated for REJECTED jobs, and for jobs whose
     #: spec linted with warnings but still ran.
     diagnostics: list = field(default_factory=list)
-    #: Predicted cycle cost from the static perf analyzer; populated
-    #: by the pooled pre-flight (longest-first dispatch), None when the
-    #: estimate was skipped or unavailable.
-    cost: int | None = None
 
 
 @dataclass

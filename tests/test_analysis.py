@@ -325,6 +325,14 @@ class TestConfigLintMutations:
             f"expected {code} ({describe_code(code).title}); "
             f"got: {report.render()}")
 
+    def test_hop_from_off_fabric_switch_is_malformed(self):
+        config = _config()
+        key = sorted(config.routes)[0]
+        config.routes[key] = [(-1, 0), (0, 0)]
+        report = lint_config(config)
+        hops = [d.context.get("hop") for d in report.by_code("RPR210")]
+        assert [(-1, 0), (0, 0)] in hops, report.render()
+
     def test_lint_dfg_standalone(self):
         dfg = Dfg("loose")
         n = dfg.add_node(FuOp.ADD, [ConstRef(1), ConstRef(2)])
@@ -408,6 +416,18 @@ class TestSpecLint:
         report = lint_spec(spec)
         assert "RPR256" in report.codes()
 
+    def test_compile_cost_ceilings(self):
+        from repro.analysis.speclint import MAX_GEOMETRY, MAX_UNROLL
+
+        assert lint_spec(JobSpec(workload="mm", geometry=MAX_GEOMETRY,
+                                 unroll=MAX_UNROLL)).ok
+        for spec in (JobSpec(workload="mm", geometry=(400, 400)),
+                     JobSpec(workload="mm", geometry=(8, 17)),
+                     JobSpec(workload="mm", unroll=4096)):
+            report = lint_spec(spec)
+            assert not report.ok
+            assert report.codes() == {"RPR257"}, report.render()
+
 
 class TestEnginePreflight:
     def test_illegal_spec_rejected_without_worker(self):
@@ -434,6 +454,20 @@ class TestEnginePreflight:
             report.raise_on_failure()
         # Sanity: the knob, not the workload, was the problem.
         assert lint_spec(good).ok
+
+    def test_oversized_spec_rejected_without_worker(self):
+        from repro.engine.pool import run_jobs
+        from repro.engine.report import REJECTED
+
+        def worker(spec, cache):  # pragma: no cover - must not run
+            raise AssertionError("rejected spec reached a worker")
+
+        spec = JobSpec(workload="vecadd", scale="tiny",
+                       geometry=(400, 400), unroll=4096)
+        (record,) = run_jobs([spec], worker=worker).records
+        assert record.status == REJECTED
+        assert [d.code for d in record.diagnostics] == ["RPR257"] * 2
+        assert "RPR257" in record.error
 
     def test_mixed_batch_runs_good_jobs(self):
         from repro.engine.pool import run_jobs

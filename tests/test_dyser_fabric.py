@@ -82,14 +82,20 @@ class TestGeometry:
             == g.output_port_switches()
 
     def test_is_link_matches_switch_neighbors(self):
+        # A link joins two switches of the fabric: a hop from an
+        # off-fabric coordinate is never one, even when it lands on the
+        # switch next to it.
         g = FabricGeometry(3, 2)
+        on_fabric = set(g.switches())
         for x in range(-2, g.switch_cols + 2):
             for y in range(-2, g.switch_rows + 2):
                 for dx, dy in [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1),
                                (0, 0), (2, 0)]:
                     b = (x + dx, y + dy)
                     assert g.is_link((x, y), b) \
-                        == (b in g.switch_neighbors((x, y)))
+                        == ((x, y) in on_fabric
+                            and b in g.switch_neighbors((x, y)))
+        assert not g.is_link((-1, 0), (0, 0))
 
     def test_tiny_fabric_rejected(self):
         with pytest.raises(ConfigurationError):

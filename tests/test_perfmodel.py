@@ -288,34 +288,6 @@ class TestEngineCostPreflight:
         assert cost == prediction.predicted_cycles
         assert estimate_job_cost(spec) == cost  # memo hit
 
-    def test_plan_orders_solo_jobs_longest_first(self):
-        from repro.engine.pool import _plan_job_batches
-
-        specs = [JobSpec(workload=w) for w in ("a", "b", "c")]
-        pending = [0, 1, 2]
-        groups, rest = _plan_job_batches(
-            specs, pending, costs={0: 10, 1: 300, 2: 50})
-        assert groups == []
-        assert rest == [1, 2, 0]
-
-    def test_plan_keeps_index_order_without_full_costs(self):
-        from repro.engine.pool import _plan_job_batches
-
-        specs = [JobSpec(workload=w) for w in ("a", "b", "c")]
-        groups, rest = _plan_job_batches(
-            specs, [0, 1, 2], costs={0: 10, 1: None, 2: 50})
-        assert groups == []
-        assert rest == [0, 1, 2]
-
-    def test_run_jobs_records_cost(self, tmp_path):
-        from repro.engine.pool import run_jobs
-
-        specs = [JobSpec(workload="dotprod"),
-                 JobSpec(workload="saxpy")]
-        report = run_jobs(specs, jobs=2)
-        assert all(r.cost is not None and r.cost > 0
-                   for r in report.records)
-
 
 class TestSchedulerEstimates:
     def make(self):

@@ -189,6 +189,16 @@ class TestServedRuns:
         assert status == 422
         assert payload["status"] == P.STATUS_REJECTED
 
+    def test_compile_cost_ceiling_is_422(self, client):
+        status, payload = client.request(
+            "POST", "/v1/run",
+            {"spec": {"workload": "vecadd", "scale": "tiny",
+                      "geometry": [400, 400], "unroll": 4096}})
+        assert status == 422
+        assert payload["status"] == P.STATUS_REJECTED
+        codes = [d["code"] for d in payload["diagnostics"]]
+        assert codes == ["RPR257", "RPR257"]
+
     def test_unknown_spec_field_is_400(self, client):
         status, payload = client.request(
             "POST", "/v1/run", {"spec": {"workload": "mm", "unrol": 2}})
